@@ -1,7 +1,6 @@
-"""Bench: Fig. 12 / Section 6 — the SIC-aware scheduler.
+"""Bench: Section 6 — the SIC-aware scheduler as a library.
 
-Covers both halves of the scheduling claim: the blossom matching finds
-the optimal pairing (ties brute force, beats greedy/random/serial) and
+Covers the scaling half of the scheduling claim: the blossom matching
 runs in polynomial time on realistic WLAN sizes — plus the fast-path
 claim: the vectorised cost graph + array blossom pipeline beats the
 scalar reference pipeline by >= 5x on a 64-client backlog while
@@ -9,7 +8,8 @@ returning bit-identical schedules.
 
 The CI smoke job runs this module with ``--benchmark-json`` to emit
 ``BENCH_scheduler.json``; speedup and phase attributions land in each
-benchmark's ``extra_info``.
+benchmark's ``extra_info``.  The policy comparison (blossom vs brute
+force, greedy, random and serial) is ``benchmarks/test_bench_fig12.py``.
 """
 
 import time
@@ -23,30 +23,6 @@ from repro.scheduling.scheduler import SicScheduler
 from repro.techniques.pairing import TechniqueSet
 from repro.util.rng import make_rng
 from repro.util.timing import PhaseTimer
-
-
-def test_fig12_policy_comparison(benchmark):
-    result = run_once(benchmark, fig12.compute,
-                      sizes=(3, 5, 8, 12, 20), n_trials=30, seed=2010)
-
-    for comparison in result["comparisons"]:
-        times = comparison.mean_times
-        if "brute_force" in times:
-            assert times["blossom"] == pytest.approx(
-                times["brute_force"], rel=1e-9)
-        assert times["blossom"] <= times["greedy"] + 1e-12
-        assert times["greedy"] <= times["serial"] + 1e-12
-
-    lines = ["Fig. 12 / Section 6 — scheduler vs baselines "
-             "(mean gain over serial, 30 trials per size)"]
-    for comparison in result["comparisons"]:
-        parts = ", ".join(f"{name} {gain:.3f}x"
-                          for name, gain in comparison.mean_gains.items())
-        lines.append(f"  n={comparison.n_clients:>3}: {parts}")
-    lines.append("  runtime: " + ", ".join(
-        f"n={n}: {entry['total_s'] * 1e3:.1f} ms"
-        for n, entry in result["runtime"].items()))
-    emit(lines)
 
 
 @pytest.mark.parametrize("n_clients", [8, 16, 32, 64, 128, 256])

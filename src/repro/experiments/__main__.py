@@ -48,6 +48,19 @@ QUICK_KWARGS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an integer >= 1, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -60,17 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="reduced sample counts / grid sizes (same code paths)")
     parser.add_argument(
-        "--samples", type=int, default=None,
+        "--samples", type=_positive_int, default=None,
         help="override Monte-Carlo sample count where applicable")
     parser.add_argument(
         "--seed", type=int, default=2010,
         help="Monte-Carlo seed (default 2010)")
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int, default=None, metavar="N",
         help="worker processes for the Monte-Carlo figures "
              "(results are identical for any count)")
     parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
+        "--chunk-size", type=_positive_int, default=None, metavar="N",
         help="samples per supervised chunk (enables checkpoint "
              "granularity; results are identical for any size)")
     parser.add_argument(

@@ -28,6 +28,7 @@ from repro.techniques.pairing import TechniqueSet
 from repro.util.rng import SeedLike, make_rng
 from repro.util.timing import PhaseTimer
 from repro.util.units import db_to_linear
+from repro.util.validation import check_positive
 
 DEFAULT_BANDWIDTH_HZ = 20e6
 
@@ -57,32 +58,45 @@ def compare_policies(n_clients: int, n_trials: int = 50,
                      seed: SeedLike = 2010,
                      include_brute_force: Optional[bool] = None
                      ) -> SchedulerComparison:
-    """Blossom vs greedy vs random vs serial (vs brute force if small)."""
+    """Blossom vs greedy vs random vs serial (vs brute force if small).
+
+    Each trial batches its backlog's solo airtimes once
+    (:meth:`~repro.scheduling.scheduler.SicScheduler.precompute_costs`)
+    and hands them to every policy.
+    """
+    check_positive("n_clients", n_clients)
+    check_positive("n_trials", n_trials)
     if include_brute_force is None:
         include_brute_force = n_clients <= 8
     rng = make_rng(seed)
     channel = Channel(bandwidth_hz=DEFAULT_BANDWIDTH_HZ,
                       noise_w=thermal_noise_watts(DEFAULT_BANDWIDTH_HZ))
     scheduler = SicScheduler(channel=channel, techniques=techniques)
+    # Baselines resolve as this module's globals at call time, so a
+    # wrapper installed on them (a tracer, a test) sees every call.
     policies = {
-        "blossom": lambda clients: scheduler.schedule(clients),
-        "greedy": lambda clients: greedy_schedule(scheduler, clients),
-        "random": lambda clients: random_schedule(scheduler, clients, rng),
-        "serial": lambda clients: serial_schedule(scheduler, clients),
+        "blossom": lambda clients, pre: scheduler.schedule(
+            clients, precomputed=pre),
+        "greedy": lambda clients, pre: greedy_schedule(
+            scheduler, clients, precomputed=pre),
+        "random": lambda clients, pre: random_schedule(
+            scheduler, clients, rng, precomputed=pre),
+        "serial": lambda clients, pre: serial_schedule(
+            scheduler, clients, precomputed=pre),
     }
     if include_brute_force:
-        policies["brute_force"] = (
-            lambda clients: brute_force_schedule(scheduler, clients))
+        policies["brute_force"] = lambda clients, pre: brute_force_schedule(
+            scheduler, clients, precomputed=pre)
 
-    times = {name: [] for name in policies}
-    gains = {name: [] for name in policies}
+    times: Dict[str, List[float]] = {name: [] for name in policies}
+    gains: Dict[str, List[float]] = {name: [] for name in policies}
     for _ in range(n_trials):
         clients = random_clients(n_clients, rng, noise_w=channel.noise_w)
-        serial_time = scheduler.serial_time(clients)
+        pre = scheduler.precompute_costs(clients)
         for name, policy in policies.items():
-            schedule = policy(clients)
+            schedule = policy(clients, pre)
             times[name].append(schedule.total_time_s)
-            gains[name].append(serial_time / schedule.total_time_s)
+            gains[name].append(pre.serial_time_s / schedule.total_time_s)
     return SchedulerComparison(
         n_clients=n_clients,
         mean_times={k: float(np.mean(v)) for k, v in times.items()},

@@ -218,6 +218,31 @@ class SicScheduler:
 
     # ------------------------------------------------------------------
 
+    def pair_cost_matrix(self, clients: Sequence[UploadClient],
+                         precomputed: Optional[BacklogCosts] = None,
+                         ) -> np.ndarray:
+        """The symmetric ``n x n`` matrix of ``t_ij`` edge weights.
+
+        The upper triangle is computed in one vectorised shot via
+        :func:`pair_airtime_batch`, so entry ``[i, j]`` with ``i < j`` is
+        bit-identical to ``pair_cost(clients[i], clients[j]).airtime_s``;
+        ``[j, i]`` mirrors it and the diagonal is zero.  The cost graph
+        and the matrix-indexed baselines all read ``t_ij`` from here.
+        """
+        n = len(clients)
+        pre = self._check_precomputed(clients, precomputed)
+        matrix = np.zeros((n, n))
+        if n >= 2:
+            rss = pre.rss_w if pre is not None else np.fromiter(
+                (c.rss_w for c in clients), dtype=float, count=n)
+            ii, jj = np.triu_indices(n, k=1)
+            airtimes = pair_airtime_batch(
+                self.channel, self.packet_bits, rss[ii], rss[jj],
+                techniques=self.techniques, sic_enabled=self.sic_enabled)
+            matrix[ii, jj] = airtimes
+            matrix[jj, ii] = airtimes
+        return matrix
+
     def build_cost_graph(
             self, clients: Sequence[UploadClient],
             precomputed: Optional[BacklogCosts] = None,
@@ -227,24 +252,20 @@ class SicScheduler:
         Returns ``(costs, dummy_index)`` where ``dummy_index`` is the
         dummy vertex id for odd client counts, else ``None``.
 
-        The full upper-triangular ``t_ij`` matrix is computed in one
-        vectorised shot via :func:`pair_airtime_batch`; element for
-        element it is bit-identical to the historical per-pair loop,
-        which survives as :meth:`build_cost_graph_scalar` for the golden
-        equivalence tests and the speedup benchmark.
+        The pair costs are the upper triangle of
+        :meth:`pair_cost_matrix`; element for element they are
+        bit-identical to the historical per-pair loop, which survives as
+        :meth:`build_cost_graph_scalar` for the golden equivalence tests
+        and the speedup benchmark.
         """
         n = len(clients)
         pre = self._check_precomputed(clients, precomputed)
         costs: Dict[Tuple[int, int], float] = {}
         if n >= 2:
-            rss = pre.rss_w if pre is not None else np.fromiter(
-                (c.rss_w for c in clients), dtype=float, count=n)
             ii, jj = np.triu_indices(n, k=1)
-            airtimes = pair_airtime_batch(
-                self.channel, self.packet_bits, rss[ii], rss[jj],
-                techniques=self.techniques, sic_enabled=self.sic_enabled)
+            matrix = self.pair_cost_matrix(clients, pre)
             costs = dict(zip(zip(ii.tolist(), jj.tolist()),
-                             airtimes.tolist()))
+                             matrix[ii, jj].tolist()))
         dummy = None
         if n % 2 == 1:
             dummy = n

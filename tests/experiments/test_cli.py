@@ -84,6 +84,21 @@ class TestMain:
         assert main(["fig6", "--quick", "--samples", "50"]) == 0
         assert "--samples" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fig6", "--samples", "0"],
+        ["fig6", "--samples", "-5"],
+        ["fig6", "--workers", "0"],
+        ["fig6", "--chunk-size", "0"],
+        ["fig13", "--samples", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_positive_sizes_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "must be a positive integer" in err
+
     def test_claims_quick(self, capsys):
         assert main(["claims", "--quick", "--samples", "100"]) == 0
         out = capsys.readouterr().out

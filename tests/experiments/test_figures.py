@@ -20,6 +20,8 @@ from repro.experiments import (
     fig13,
     fig14,
 )
+from repro.scheduling import scheduler as scheduler_module
+from repro.scheduling.scheduler import SicScheduler
 
 
 class TestFig2:
@@ -258,6 +260,47 @@ class TestFig12:
             assert all(v >= 0.0 for v in entry.values())
             phase_sum = sum(v for k, v in entry.items() if k != "total_s")
             assert phase_sum <= entry["total_s"]
+
+    @pytest.mark.parametrize("kwargs, parameter", [
+        ({"n_clients": 4, "n_trials": 0}, "n_trials"),
+        ({"n_clients": 0}, "n_clients"),
+        ({"n_clients": -1}, "n_clients"),
+    ])
+    def test_compare_policies_rejects_empty_sizes(self, kwargs, parameter):
+        with pytest.raises(ValueError, match=parameter):
+            fig12.compare_policies(**kwargs)
+
+    def test_scalar_pair_costs_only_for_returned_pairs(self, monkeypatch):
+        # Baselines decide on the batched t_ij matrix; the scalar
+        # pair_airtime runs only to label the pairs a policy returns.
+        calls = []
+        real_pair_airtime = scheduler_module.pair_airtime
+
+        def counting_pair_airtime(*args, **kwargs):
+            calls.append(args)
+            return real_pair_airtime(*args, **kwargs)
+
+        returned = []
+
+        def recording(policy):
+            def wrapper(*args, **kwargs):
+                schedule = policy(*args, **kwargs)
+                returned.append(schedule)
+                return schedule
+            return wrapper
+
+        monkeypatch.setattr(scheduler_module, "pair_airtime",
+                            counting_pair_airtime)
+        for name in ("greedy_schedule", "random_schedule",
+                     "serial_schedule", "brute_force_schedule"):
+            monkeypatch.setattr(fig12, name, recording(getattr(fig12, name)))
+        monkeypatch.setattr(SicScheduler, "schedule",
+                            recording(SicScheduler.schedule))
+        fig12.compare_policies(8, n_trials=5)
+        assert len(returned) == 5 * 5  # five policies, five trials
+        n_pairs = sum(slot.is_pair for schedule in returned
+                      for slot in schedule.slots)
+        assert 0 < len(calls) <= n_pairs
 
 
 class TestFig13:
