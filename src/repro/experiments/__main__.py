@@ -96,14 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Figures whose compute() threads the supervised-execution knobs.
-_SUPERVISED_FIGURES = ("fig6", "fig7", "fig11", "fig13", "fig14")
-
-#: Figures whose scale responds to --samples (the Monte-Carlo /
-#: trace-driven set); the rest are closed-form or fixed-size.
-_SAMPLES_FIGURES = frozenset(_SUPERVISED_FIGURES)
-
-
 def _kwargs_for(figure: str, args: argparse.Namespace) -> dict:
     kwargs = dict(QUICK_KWARGS.get(figure, {})) if args.quick else {}
     if args.samples is not None:
@@ -118,7 +110,7 @@ def _kwargs_for(figure: str, args: argparse.Namespace) -> dict:
             kwargs["n_residential_rows"] = 3 * args.samples
         elif figure == "fig13":
             kwargs["max_snapshots"] = args.samples
-    if figure in _SUPERVISED_FIGURES:
+    if REGISTRY[figure].supervised:
         kwargs.setdefault("seed", args.seed)
         if args.workers is not None:
             kwargs["n_workers"] = args.workers
@@ -129,11 +121,15 @@ def _kwargs_for(figure: str, args: argparse.Namespace) -> dict:
 
 def _note_inapplicable_samples(args: argparse.Namespace,
                                figures: List[str]) -> None:
-    """One consolidated stderr note instead of silently ignoring."""
+    """One consolidated stderr note instead of silently ignoring.
+
+    ``--samples`` scales exactly the supervised (Monte-Carlo and
+    trace-driven) figures; the rest are closed-form or fixed-size.
+    """
     if args.samples is None:
         return
     skipped = [figure for figure in figures
-               if figure not in _SAMPLES_FIGURES]
+               if not REGISTRY[figure].supervised]
     if skipped:
         print("note: --samples does not apply to "
               + ", ".join(skipped)

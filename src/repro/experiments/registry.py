@@ -30,12 +30,19 @@ from repro.util.containers import GridResult, SweepResult, ascii_heatmap
 
 @dataclass(frozen=True)
 class Experiment:
-    """One reproducible paper figure."""
+    """One reproducible paper figure.
+
+    ``supervised`` marks the figures whose ``compute()`` runs on the
+    supervised runner and takes ``seed``, ``n_workers``, ``chunk_size``,
+    ``policy`` and ``timer``; the CLI and the suite engine read it, and
+    a test checks it against each signature.
+    """
 
     figure: str
     description: str
     compute: Callable[..., object]
     render: Callable[[object], List[str]]
+    supervised: bool = False
 
 
 def _render_sweep(result: SweepResult) -> List[str]:
@@ -110,10 +117,10 @@ REGISTRY: Dict[str, Experiment] = {
         fig4.compute, _render_grid),
     "fig6": Experiment(
         "fig6", "Monte-Carlo CDF: two pairs, different receivers",
-        fig6.compute, _render_gain_map),
+        fig6.compute, _render_gain_map, supervised=True),
     "fig7": Experiment(
         "fig7", "Architectures: EWLAN / residential / mesh (Section 4)",
-        fig7.compute, fig7.render),
+        fig7.compute, fig7.render, supervised=True),
     "fig8": Experiment(
         "fig8", "Download two APs -> one client gain heatmap",
         fig8.compute, _render_grid),
@@ -122,16 +129,16 @@ REGISTRY: Dict[str, Experiment] = {
         fig10.compute, _render_fig10),
     "fig11": Experiment(
         "fig11", "Technique CDFs (power control, multirate, packing)",
-        fig11.compute, _render_fig11),
+        fig11.compute, _render_fig11, supervised=True),
     "fig12": Experiment(
         "fig12", "Scheduler vs baselines + runtime scaling",
         fig12.compute, _render_fig12),
     "fig13": Experiment(
         "fig13", "Trace-based upload pairing evaluation",
-        fig13.compute, _render_gain_map),
+        fig13.compute, _render_gain_map, supervised=True),
     "fig14": Experiment(
         "fig14", "Trace-based two AP-client pairs (arbitrary/discrete)",
-        fig14.compute, _render_gain_map),
+        fig14.compute, _render_gain_map, supervised=True),
 }
 
 

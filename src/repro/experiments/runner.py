@@ -41,39 +41,33 @@ Every recovery path is testable via the deterministic
 ``(engine, chunk_index, attempt)`` — no wall clock, no global
 randomness).
 
-Two execution substrates share all of the above. By default each pool
-round builds a private ``ProcessPoolExecutor`` (historical behaviour).
-When :attr:`ExecutionPolicy.pool` carries a shared suite pool
-(:class:`repro.experiments.suite.SuitePool`), rounds submit through the
-pool's per-engine lane instead — the supervisor logic (retries,
-watchdog, rebuild escalation, checkpoints) is unchanged; only *where*
-chunks execute moves.  Orthogonally, :attr:`ExecutionPolicy.transport`
-enables the zero-copy chunk transport
-(:mod:`repro.experiments.transport`): workers park large results in
-shared memory and the supervisor decodes them on consumption,
-releasing any abandoned segments on every recovery path.
+Every pooled pass runs on a :class:`repro.experiments.suite.SuitePool`:
+the shared one in :attr:`ExecutionPolicy.pool` (the suite engine), or
+a private one sized to the sweep and closed when the pass ends.  Each
+round submits through the pool's per-engine lane, and a broken round
+asks the pool to rebuild.  Pooled attempts always use the zero-copy
+chunk transport (:mod:`repro.experiments.transport`): workers park
+large results in shared memory, the supervisor decodes them on its own
+thread when it consumes them, and abandoned segments are released on
+every recovery path.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Protocol, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
+                    Union)
 
 import numpy as np
 
 from repro.experiments.transport import (
-    TransportPolicy,
     TransportStats,
     decode_chunk,
     encode_chunk,
-    ensure_resource_tracker,
-    release_chunk,
 )
 from repro.util.cache import ResultCache
 from repro.util.checkpoint import CheckpointStore, checkpoint_dir_from_env
@@ -81,9 +75,11 @@ from repro.util.errors import ResumableInterrupt, TransientError
 from repro.util.faults import FaultInjector, RetryPolicy
 from repro.util.rng import SeedLike, spawn_seed_sequences
 
+if TYPE_CHECKING:
+    from repro.experiments.suite import SuitePool, _SuiteRound
+
 ChunkResult = Dict[str, np.ndarray]
 ChunkFn = Callable[..., ChunkResult]
-SubmitFn = Callable[..., Future]
 
 
 class ExecutionDegradedWarning(RuntimeWarning):
@@ -128,28 +124,6 @@ class ChunkExecutionError(TransientError, RuntimeError):
 
 class _PoolBroken(Exception):
     """Internal: the current pool round is unusable (rebuild or degrade)."""
-
-
-class SharedRoundLike(Protocol):
-    """One pool round opened against a shared worker pool."""
-
-    def submit(self, fn: Callable[..., object], *args: object) -> Future:
-        """Queue one chunk attempt on the shared pool's lane."""
-
-    def broken(self) -> None:
-        """The supervisor declared this round broken; rebuild if still
-        on the generation this round was opened against."""
-
-    def abandon(self, futures: Iterable[Future]) -> None:
-        """Futures the supervisor will never consume: release any
-        transported result they already carry (or will carry)."""
-
-
-class SharedPoolLike(Protocol):
-    """A persistent pool shared by many supervisors (suite engine)."""
-
-    def open_round(self, lane: str) -> SharedRoundLike:
-        """Open a submission round on ``lane`` (one lane per engine)."""
 
 
 @dataclass(frozen=True)
@@ -241,45 +215,30 @@ class ExecutionPolicy:
     directory is configured.  ``faults`` is the deterministic injector
     used by the resilience tests; production runs leave it ``None``.
 
-    ``watchdog`` supervises pooled rounds for hung workers; when it is
-    unset, a bare ``worker_timeout_s`` (the pre-watchdog knob, kept for
-    compatibility) arms a heartbeat-only watchdog.
+    ``watchdog`` supervises pooled rounds for hung workers.
 
-    ``pool`` plugs in a *shared* worker pool (the suite engine's
-    :class:`repro.experiments.suite.SuitePool`, or anything matching
-    its ``open_round``/``abandon`` protocol): pooled rounds then submit
-    chunks to that pool's per-engine lane instead of building and
-    tearing down a private ``ProcessPoolExecutor``, and a broken round
-    asks the shared pool to rebuild.  ``transport`` opts pooled chunk
-    results into the shared-memory transport
-    (:mod:`repro.experiments.transport`); ``transport_stats`` is the
-    parent-side byte counter the suite summary reads.  Neither knob
-    ever changes results — chunks stay pure functions of
+    ``pool`` plugs in a *shared* :class:`repro.experiments.suite.SuitePool`
+    (the suite engine's): pooled rounds then run on it, even with
+    ``n_workers == 1``, instead of on a private pool built for the
+    sweep.  It never changes results — chunks stay pure functions of
     ``(config, seed, size)``.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     max_pool_rebuilds: int = 2
-    worker_timeout_s: Optional[float] = None
     checkpoint_dir: Optional[Union[str, Path]] = None
     faults: Optional[FaultInjector] = None
     watchdog: Optional[Watchdog] = None
-    pool: Optional["SharedPoolLike"] = None
-    transport: Optional[TransportPolicy] = None
-    transport_stats: Optional[TransportStats] = None
+    pool: Optional["SuitePool"] = None
 
     def __post_init__(self) -> None:
         if self.max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be non-negative")
-        if self.worker_timeout_s is not None and self.worker_timeout_s <= 0:
-            raise ValueError("worker_timeout_s must be positive")
 
     def effective_watchdog(self) -> Optional[Watchdog]:
         """The armed watchdog for pooled rounds, or ``None``."""
-        if self.watchdog is not None:
-            return self.watchdog if self.watchdog.armed else None
-        if self.worker_timeout_s is not None:
-            return Watchdog(heartbeat_interval_s=self.worker_timeout_s)
+        if self.watchdog is not None and self.watchdog.armed:
+            return self.watchdog
         return None
 
     @classmethod
@@ -331,10 +290,6 @@ def seed_cache_token(
     return None
 
 
-#: Backwards-compatible alias (pre-indexed-runner name).
-_seed_cache_token = seed_cache_token
-
-
 def chunk_starts(sizes: List[int]) -> List[int]:
     """Start offsets of each chunk in the merged item order."""
     starts: List[int] = []
@@ -354,23 +309,22 @@ def _resolve_cache(cache: Optional[ResultCache]) -> ResultCache:
 def _guarded_chunk(chunk_fn: ChunkFn, config: object, seed: SeedLike,
                    n: int, kwargs: Mapping[str, object],
                    faults: Optional[FaultInjector], engine: str,
-                   chunk_index: int, attempt: int,
-                   transport: Optional[TransportPolicy] = None
+                   chunk_index: int, attempt: int, pooled: bool = False
                    ) -> Union[ChunkResult, object]:
     """Evaluate one chunk attempt, applying injected faults first.
 
     Module-level (not a closure) so the pool can pickle it; runs inside
     the worker, so an injected fault exercises the same
-    exception-through-``Future`` path a real crash does.  ``transport``
-    is set only for pooled attempts: the result then rides a
-    shared-memory segment (descriptor returned) when the payload
-    qualifies, and the supervisor decodes it on receipt.
+    exception-through-``Future`` path a real crash does.  A ``pooled``
+    attempt's result rides a shared-memory segment (descriptor
+    returned) when the payload qualifies, and the supervisor decodes it
+    when it consumes the result.
     """
     if faults is not None:
         faults.check_chunk(engine, chunk_index, attempt)
     result = chunk_fn(config, seed, n, **kwargs)
-    if transport is not None:
-        return encode_chunk(result, transport)
+    if pooled:
+        return encode_chunk(result)
     return result
 
 
@@ -398,6 +352,8 @@ class _Supervisor:
         self.next_attempt: Dict[int, int] = {}
         self.pool_failures = 0
         self.pool_round = 0
+        #: Byte counters of the pool the current pooled pass runs on.
+        self.transport: Optional[TransportStats] = None
 
     # -- shared bookkeeping -----------------------------------------------
 
@@ -419,16 +375,19 @@ class _Supervisor:
 
     def _submit_args(self, index: int, pooled: bool = False) -> tuple:
         attempt = self.next_attempt.setdefault(index, 1)
-        args = (self.chunk_fn, self.config, self.seeds[index],
+        return (self.chunk_fn, self.config, self.seeds[index],
                 self.sizes[index], self.kwargs, self.policy.faults,
-                self.engine, index, attempt)
-        if pooled and self.policy.transport is not None:
-            return args + (self.policy.transport,)
-        return args
+                self.engine, index, attempt, pooled)
 
     def _decoded(self, raw: object) -> ChunkResult:
-        """Materialise a pooled result (shared-memory or pickled)."""
-        return decode_chunk(raw, self.policy.transport_stats)
+        """Materialise a pooled result (shared-memory or pickled).
+
+        Always called on the supervisor's own thread, as it consumes
+        the result: decoding on the pool's callback thread instead
+        measured ~2.4x the peak RSS of a 1M-sample fig6 + fig11 suite
+        run on a 2-core host.
+        """
+        return decode_chunk(raw, self.transport)
 
     def _record_chunk_failure(self, index: int, exc: BaseException) -> None:
         """Book a failed attempt; raise when the retry budget is gone."""
@@ -460,10 +419,21 @@ class _Supervisor:
                     break
 
     def _run_pooled(self, n_workers: int) -> None:
+        """Run the pooled pass on the shared pool, or on a private one."""
+        if self.policy.pool is not None:
+            self._pool_rounds(self.policy.pool)
+            return
+        # Lazy: suite imports the registry -> every figure -> this module.
+        from repro.experiments.suite import SuitePool
+        with SuitePool(min(n_workers, len(self.pending()))) as pool:
+            self._pool_rounds(pool)
+
+    def _pool_rounds(self, pool: "SuitePool") -> None:
         """Pool rounds with rebuild-on-break; degrades after the budget."""
+        self.transport = pool.transport
         while len(self.pending()) > 1:
             try:
-                self._pool_round(n_workers)
+                self._pool_round(pool)
                 return
             except _PoolBroken as exc:
                 self.pool_failures += 1
@@ -474,8 +444,8 @@ class _Supervisor:
                         stacklevel=2)
                     return  # the inline pass finishes the sweep
 
-    def _pool_round(self, n_workers: int) -> None:
-        """One pool lifetime: submit all pending chunks, drain, retry.
+    def _pool_round(self, pool: "SuitePool") -> None:
+        """One round: submit all pending chunks on the lane, drain, retry.
 
         Raises :class:`_PoolBroken` when the pool dies (for real, or by
         injection) so the caller can rebuild with only missing chunks.
@@ -485,67 +455,43 @@ class _Supervisor:
         faults = self.policy.faults
         if faults is not None and faults.should_break_pool(round_index):
             raise _PoolBroken(f"injected pool break (round {round_index})")
-        pending = self.pending()
-        if self.policy.pool is not None:
-            self._shared_round(self.policy.pool, pending)
-        else:
-            self._owned_round(n_workers, pending)
-
-    def _owned_round(self, n_workers: int, pending: List[int]) -> None:
-        """Historical mode: a private pool built for this round only."""
-        workers = min(n_workers, len(pending))
-        if self.policy.transport is not None:
-            ensure_resource_tracker()
-        futures: Dict[Future, int] = {}
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                self._submit_and_drain(pool.submit, futures, pending)
-        finally:
-            # The ``with`` exit waited for in-flight attempts, so every
-            # future is settled here; release transported results that
-            # nobody consumed (watchdog cancellations, broken rounds).
-            _release_abandoned(futures)
-
-    def _shared_round(self, shared: SharedPoolLike,
-                      pending: List[int]) -> None:
-        """Suite mode: chunks ride the shared pool's per-engine lane."""
-        handle = shared.open_round(self.engine)
+        handle = pool.open_round(self.engine)
         futures: Dict[Future, int] = {}
         try:
             try:
-                self._submit_and_drain(handle.submit, futures, pending)
+                self._submit_and_drain(handle, futures, self.pending())
             except _PoolBroken:
                 handle.broken()
                 raise
         finally:
-            # Futures may still be in flight on the shared pool; the
-            # pool releases their transported results on arrival.
+            # Futures may still be in flight; the pool releases their
+            # transported results on arrival.
             handle.abandon(list(futures))
 
-    def _submit_and_drain(self, submit: SubmitFn,
+    def _submit_and_drain(self, handle: "_SuiteRound",
                           futures: Dict[Future, int],
                           pending: List[int]) -> None:
-        """Submit every pending chunk through ``submit`` and drain."""
+        """Submit every pending chunk on the round's lane and drain."""
         monitor = None
         watchdog = self.policy.effective_watchdog()
         if watchdog is not None:
             monitor = _WatchdogMonitor(watchdog)
         try:
             for index in pending:
-                futures[submit(
+                futures[handle.submit(
                     _guarded_chunk,
                     *self._submit_args(index, pooled=True))] = index
                 if monitor is not None:
                     monitor.submitted(index)
-            self._drain(submit, futures, monitor)
+            self._drain(handle, futures, monitor)
         except BrokenExecutor as exc:
             raise _PoolBroken(str(exc) or type(exc).__name__) from exc
 
-    def _drain(self, submit: SubmitFn,
+    def _drain(self, handle: "_SuiteRound",
                futures: Dict[Future, int],
                monitor: Optional[_WatchdogMonitor]) -> None:
         try:
-            self._drain_inner(submit, futures, monitor)
+            self._drain_inner(handle, futures, monitor)
         except (KeyboardInterrupt, ResumableInterrupt):
             # Operator interrupt: flush every chunk whose future already
             # completed into the checkpoint store, then let the
@@ -554,7 +500,7 @@ class _Supervisor:
             self._flush_completed(futures)
             raise
 
-    def _drain_inner(self, submit: SubmitFn,
+    def _drain_inner(self, handle: "_SuiteRound",
                      futures: Dict[Future, int],
                      monitor: Optional[_WatchdogMonitor]) -> None:
         while futures:
@@ -568,13 +514,13 @@ class _Supervisor:
                 try:
                     chunk = future.result()
                 except BrokenExecutor:
-                    # Put the future back so the round's cleanup path
-                    # (abandon / release) still covers its result.
+                    # Put the future back so the round's abandon still
+                    # covers its result.
                     futures[future] = index
                     raise
                 except Exception as exc:  # anything a worker can die of
                     self._record_chunk_failure(index, exc)
-                    futures[submit(
+                    futures[handle.submit(
                         _guarded_chunk,
                         *self._submit_args(index, pooled=True))] = index
                     if monitor is not None:
@@ -596,20 +542,6 @@ class _Supervisor:
             if future.exception() is None:
                 del futures[future]
                 self._finish_chunk(index, self._decoded(future.result()))
-
-
-def _release_abandoned(futures: Dict[Future, int]) -> None:
-    """Unlink transported results of settled-but-unconsumed futures.
-
-    Called after an owned round's pool has shut down (every future is
-    settled by then): any successful result still sitting in ``futures``
-    was never decoded, so its shared-memory segment must be released
-    here or it would outlive the run.
-    """
-    for future in futures:
-        if future.done() and not future.cancelled() \
-                and future.exception() is None:
-            release_chunk(future.result())
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +567,7 @@ def run_chunked(engine: str, chunk_fn: ChunkFn, config, seed: SeedLike, *,
     kwargs = dict(kwargs or {})
     policy = policy if policy is not None else ExecutionPolicy.from_env()
     sizes = chunk_sizes(config.n_samples, chunk_size)
-    token = _seed_cache_token(seed)
+    token = seed_cache_token(seed)
 
     run_key = None
     if token is not None:
@@ -645,28 +577,9 @@ def run_chunked(engine: str, chunk_fn: ChunkFn, config, seed: SeedLike, *,
                    "seed": token,
                    "chunk_sizes": sizes,
                    "kwargs": kwargs}
-
-    store = _resolve_cache(cache)
-    key = run_key if store.enabled else None
-    if key is not None:
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-
-    checkpoint = None
-    if policy.checkpoint_dir is not None and run_key is not None:
-        checkpoint = CheckpointStore(policy.checkpoint_dir, run_key,
-                                     n_chunks=len(sizes))
-
-    seeds = chunk_seeds(seed, len(sizes))
-    supervisor = _Supervisor(engine, chunk_fn, config, seeds, sizes,
-                             kwargs, policy, checkpoint)
-    chunks = supervisor.run(n_workers)
-
-    merged = _merge_chunks(chunks, len(sizes))
-    if key is not None:
-        store.put(key, merged)
-    return merged
+    return _run_supervised(engine, chunk_fn, config,
+                           lambda: chunk_seeds(seed, len(sizes)), sizes,
+                           kwargs, run_key, cache, policy, n_workers)
 
 
 def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
@@ -688,7 +601,7 @@ def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
     count** — the trace pipeline pins serial == parallel == cached
     bit-identity on exactly this property.
 
-    Retry/backoff, pool rebuild/degradation, worker timeouts and
+    Retry/backoff, pool rebuild/degradation, the watchdog and
     checkpoint/resume behave as in :func:`run_chunked`.  ``cache_key``
     is the caller's description of what determines the items (e.g.
     trace config + seed); when ``None`` the run is treated as
@@ -712,7 +625,24 @@ def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
                    "key": dict(cache_key),
                    "chunk_sizes": sizes,
                    "kwargs": kwargs}
+    # Start offsets ride in the supervisor's per-chunk seed slot: chunk
+    # i evaluates the pure function (config, starts[i], sizes[i]).
+    return _run_supervised(engine, chunk_fn, config,
+                           lambda: chunk_starts(sizes), sizes, kwargs,
+                           run_key, cache, policy, n_workers)
 
+
+def _run_supervised(engine: str, chunk_fn: ChunkFn, config: object,
+                    chunk_args: Callable[[], List[SeedLike]],
+                    sizes: List[int], kwargs: Mapping[str, object],
+                    run_key: Optional[Mapping[str, object]],
+                    cache: Optional[ResultCache], policy: ExecutionPolicy,
+                    n_workers: int) -> ChunkResult:
+    """Cache lookup, checkpoint store, supervised run, cache store.
+
+    ``chunk_args`` builds each chunk's seed slot only on a cache miss:
+    spawning chunk seeds advances a caller's ``SeedSequence``.
+    """
     store = _resolve_cache(cache)
     key = run_key if store.enabled else None
     if key is not None:
@@ -725,14 +655,9 @@ def run_indexed(engine: str, chunk_fn: ChunkFn, config, n_items: int, *,
         checkpoint = CheckpointStore(policy.checkpoint_dir, run_key,
                                      n_chunks=len(sizes))
 
-    # Start offsets ride in the supervisor's per-chunk seed slot: chunk
-    # i evaluates the pure function (config, starts[i], sizes[i]).
-    starts = chunk_starts(sizes)
-    supervisor = _Supervisor(engine, chunk_fn, config, starts, sizes,
+    supervisor = _Supervisor(engine, chunk_fn, config, chunk_args(), sizes,
                              kwargs, policy, checkpoint)
-    chunks = supervisor.run(n_workers)
-
-    merged = _merge_chunks(chunks, len(sizes))
+    merged = _merge_chunks(supervisor.run(n_workers), len(sizes))
     if key is not None:
         store.put(key, merged)
     return merged

@@ -13,11 +13,15 @@ other figure's work sat idle.  This module replaces that with a
   sweeps) interleave with fast ones instead of serializing;
 * :func:`run_suite` runs one thread per requested figure, each calling
   the ordinary :func:`repro.experiments.registry.run_experiment`; the
-  supervised figures pick the shared pool up through
-  :attr:`repro.experiments.runner.ExecutionPolicy.pool`, so every
-  supervisor invariant (retries, watchdog, pool-rebuild escalation,
-  checkpoint/resume, worker-count-invariant cache keys) holds
-  unchanged — only *where* chunks execute moves.
+  supervised figures (``Experiment.supervised``) pick the shared pool
+  up through :attr:`repro.experiments.runner.ExecutionPolicy.pool`, so
+  every supervisor invariant (retries, watchdog, pool-rebuild
+  escalation, checkpoint/resume, worker-count-invariant cache keys)
+  holds unchanged — only *where* chunks execute moves.
+
+A single figure run with ``n_workers > 1`` runs on a private
+:class:`SuitePool` the runner opens for the sweep, so there is one
+pooled execution path.
 
 Determinism: a chunk result is a pure function of
 ``(config, chunk seed, chunk size)``, and the suite never alters a
@@ -26,11 +30,11 @@ chunks run.  Suite-mode outputs are therefore bit-identical to
 per-figure sequential runs for any worker count or interleaving
 (pinned by the golden tests in ``tests/experiments/test_suite.py``).
 
-Transport: suite runs enable the shared-memory chunk transport
-(:mod:`repro.experiments.transport`) by default, so large fig13/fig7
-payloads skip the pickle round-trip; a :class:`TransportStats` counter
-feeds the suite summary (per-figure wall time, pool utilization,
-transport bytes).
+Transport: every pooled chunk attempt uses the shared-memory chunk
+transport (:mod:`repro.experiments.transport`), so payloads of at
+least ``MIN_SHM_BYTES`` skip the pickle round-trip.  Each pool owns one
+:class:`TransportStats`; the suite summary reports its change over the
+run, next to per-figure wall time and pool utilization.
 
 Failure semantics: a broken round (``BrokenProcessPool``, watchdog
 trip, injected break) asks the pool to rebuild its executor once for
@@ -44,7 +48,6 @@ shared-memory results are released on every path (see
 
 from __future__ import annotations
 
-import inspect
 import os
 import time
 from collections import OrderedDict, deque
@@ -54,7 +57,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 from threading import Condition, RLock, Thread
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
+                    Tuple)
 
 from repro.experiments.registry import (
     REGISTRY,
@@ -65,7 +69,6 @@ from repro.experiments.registry import (
 )
 from repro.experiments.runner import ExecutionPolicy
 from repro.experiments.transport import (
-    TransportPolicy,
     TransportStats,
     ensure_resource_tracker,
     release_chunk,
@@ -84,6 +87,17 @@ def _warmup(delay_s: float) -> int:
     # long enough that every pool worker forks before real work lands.
     time.sleep(delay_s)  # repro-lint: disable=RPR303
     return os.getpid()
+
+
+def _timed(fn: Callable[..., object], *args: object) -> Tuple[float, object]:
+    """Run one task in a worker; return ``(seconds, result)``.
+
+    Timing inside the worker keeps executor-queue time out of the
+    pool's ``busy_s``.
+    """
+    start = time.perf_counter()
+    result = fn(*args)
+    return time.perf_counter() - start, result
 
 
 def default_suite_workers() -> int:
@@ -132,7 +146,7 @@ class LaneQueue:
 class _SuiteTask:
     """One submitted chunk: the caller's proxy future plus its work."""
 
-    __slots__ = ("proxy", "fn", "args", "lane", "abandoned", "started_at")
+    __slots__ = ("proxy", "fn", "args", "lane", "abandoned")
 
     def __init__(self, proxy: Future, fn: Callable[..., object],
                  args: Tuple[object, ...], lane: str) -> None:
@@ -141,7 +155,6 @@ class _SuiteTask:
         self.args = args
         self.lane = lane
         self.abandoned = False
-        self.started_at: Optional[float] = None
 
 
 def _fail_proxy(proxy: Future, exc: BaseException) -> None:
@@ -155,12 +168,11 @@ def _fail_proxy(proxy: Future, exc: BaseException) -> None:
 
 
 class _SuiteRound:
-    """One supervisor round's view of the shared pool (one lane).
+    """One supervisor round's view of the pool (one lane).
 
-    Matches the ``SharedRoundLike`` protocol the runner programs
-    against: ``submit`` chunks, declare the round ``broken`` to request
-    a pool rebuild, ``abandon`` leftovers so their transported results
-    are released whenever they land.
+    The runner submits chunks through it, declares the round broken to
+    request a pool rebuild, and abandons leftovers so their transported
+    results are released whenever they land.
     """
 
     def __init__(self, pool: "SuitePool", lane: str,
@@ -179,6 +191,27 @@ class _SuiteRound:
         self._pool._abandon(futures)
 
 
+_COUNTERS = ("tasks_done", "busy_s", "wall_s", "rebuilds")
+
+#: ``SuitePool.stats()`` counters at the moment a pool starts.
+_POOL_START: Dict[str, Any] = {**dict.fromkeys(_COUNTERS, 0), "lanes": {}}
+
+
+def _stats_between(before: Mapping[str, Any],
+                   after: Mapping[str, Any]) -> Dict[str, Any]:
+    """Pool stats over the span between two ``SuitePool.stats()`` calls."""
+    delta: Dict[str, Any] = {key: after[key] - before[key]
+                             for key in _COUNTERS}
+    capacity = delta["wall_s"] * after["workers"]
+    delta["workers"] = after["workers"]
+    delta["utilization"] = delta["busy_s"] / capacity if capacity > 0 \
+        else 0.0
+    delta["lanes"] = {lane: done - before["lanes"].get(lane, 0)
+                      for lane, done in after["lanes"].items()
+                      if done != before["lanes"].get(lane, 0)}
+    return delta
+
+
 class SuitePool:
     """A persistent supervised worker pool shared across figures.
 
@@ -194,6 +227,9 @@ class SuitePool:
     as ``BrokenProcessPool`` — *never* ``CancelledError``, which is a
     ``BaseException`` and would sail past the supervisor's
     ``except BrokenExecutor`` recovery path.
+
+    ``transport`` counts the bytes every supervisor decoding this
+    pool's chunks received, by shared memory or by pickle.
     """
 
     def __init__(self, n_workers: Optional[int] = None, *,
@@ -213,6 +249,7 @@ class SuitePool:
         self._busy_s = 0.0
         self._rebuilds = 0
         self._lane_done: Dict[str, int] = {}
+        self.transport = TransportStats()
         self._retired: List[ProcessPoolExecutor] = []
         self._created_at = time.monotonic()
         self._executor = self._new_executor(warmup=warmup)
@@ -282,21 +319,20 @@ class SuitePool:
         with self._cond:
             return _SuiteRound(self, lane, self._generation)
 
-    def stats(self) -> Dict[str, object]:
-        """Utilization snapshot for the suite summary."""
+    def stats(self) -> Dict[str, Any]:
+        """Cumulative utilization snapshot since the pool started.
+
+        ``busy_s`` sums the in-worker time of every successful task;
+        failed attempts and executor-queue time are not counted.
+        """
         with self._cond:
-            wall_s = time.monotonic() - self._created_at
-            busy_s = self._busy_s
-            capacity = wall_s * self.workers
-            return {
-                "workers": self.workers,
-                "tasks_done": self._tasks_done,
-                "busy_s": busy_s,
-                "wall_s": wall_s,
-                "rebuilds": self._rebuilds,
-                "utilization": busy_s / capacity if capacity > 0 else 0.0,
-                "lanes": dict(self._lane_done),
-            }
+            now = {"workers": self.workers,
+                   "tasks_done": self._tasks_done,
+                   "busy_s": self._busy_s,
+                   "wall_s": time.monotonic() - self._created_at,
+                   "rebuilds": self._rebuilds,
+                   "lanes": dict(self._lane_done)}
+        return _stats_between(_POOL_START, now)
 
     # -- internal ----------------------------------------------------------
 
@@ -367,9 +403,8 @@ class SuitePool:
                 self._inflight += 1
                 generation = self._generation
                 executor = self._executor
-            task.started_at = time.monotonic()
             try:
-                underlying = executor.submit(task.fn, *task.args)
+                underlying = executor.submit(_timed, task.fn, *task.args)
             except BaseException as exc:  # broken/shut-down executor
                 with self._cond:
                     self._inflight -= 1
@@ -386,9 +421,6 @@ class SuitePool:
             self._inflight -= 1
             self._tasks_done += 1
             self._lane_done[task.lane] = self._lane_done.get(task.lane, 0) + 1
-            if not underlying.cancelled() and task.started_at is not None:
-                self._busy_s += max(0.0,
-                                    time.monotonic() - task.started_at)
             if underlying.cancelled():
                 # Rebuild cancelled it while queued on the old executor.
                 _fail_proxy(task.proxy, BrokenProcessPool(
@@ -398,7 +430,8 @@ class SuitePool:
                 if exc is not None:
                     _fail_proxy(task.proxy, exc)
                 else:
-                    result = underlying.result()
+                    elapsed_s, result = underlying.result()
+                    self._busy_s += elapsed_s
                     delivered = False
                     if not task.abandoned:
                         try:
@@ -477,24 +510,11 @@ class SuiteResult:
         return lines
 
 
-def _accepts(figure: str, name: str) -> bool:
-    """Whether a figure's compute() takes a keyword argument ``name``."""
-    try:
-        signature = inspect.signature(REGISTRY[figure].compute)
-    except (TypeError, ValueError):
-        return False
-    parameter = signature.parameters.get(name)
-    return parameter is not None and parameter.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY)
-
-
 def run_suite(figures: Optional[List[str]] = None,
               kwargs_by_figure: Optional[Mapping[str, Mapping[str, object]]]
               = None, *,
               n_workers: Optional[int] = None,
               policy: Optional[ExecutionPolicy] = None,
-              transport: Optional[TransportPolicy] = None,
               pool: Optional[SuitePool] = None) -> SuiteResult:
     """Run a set of figures concurrently over one shared pool.
 
@@ -503,13 +523,14 @@ def run_suite(figures: Optional[List[str]] = None,
     seeds are untouched, so per-figure results are bit-identical to
     calling ``compute()`` directly with the same kwargs.  Supervised
     figures additionally receive an :class:`ExecutionPolicy` carrying
-    the shared pool and the shared-memory transport (unless the caller
-    already pinned a ``policy`` kwarg for that figure).
+    the shared pool (unless the caller already pinned a ``policy``
+    kwarg for that figure) and a :class:`PhaseTimer`.
 
     Figure errors are collected so every figure gets to finish; the
     first failure in paper order is re-raised after all threads settle.
     A ``pool`` passed in is borrowed (left open); otherwise one is
-    created and closed here.
+    created and closed here.  ``pool_stats`` and ``transport`` on the
+    result cover this run only, even on a borrowed pool.
     """
     requested = list(figures) if figures is not None else ordered_figures()
     unknown = [figure for figure in requested if figure not in REGISTRY]
@@ -520,12 +541,8 @@ def run_suite(figures: Optional[List[str]] = None,
 
     own_pool = pool is None
     suite_pool = pool if pool is not None else SuitePool(n_workers)
-    stats = TransportStats()
     base_policy = policy if policy is not None else ExecutionPolicy.from_env()
-    suite_policy = replace(
-        base_policy, pool=suite_pool,
-        transport=transport if transport is not None else TransportPolicy(),
-        transport_stats=stats)
+    suite_policy = replace(base_policy, pool=suite_pool)
 
     outcomes = {figure: FigureOutcome(figure, None, 0.0)
                 for figure in requested}
@@ -534,11 +551,11 @@ def run_suite(figures: Optional[List[str]] = None,
     def _figure_body(figure: str) -> None:
         outcome = outcomes[figure]
         kwargs = dict(kwargs_by_figure.get(figure, {}))
-        if _accepts(figure, "policy"):
+        if REGISTRY[figure].supervised:
             kwargs.setdefault("policy", suite_policy)
-        if _accepts(figure, "timer") and "timer" not in kwargs:
-            timers[figure] = PhaseTimer()
-            kwargs["timer"] = timers[figure]
+            if "timer" not in kwargs:
+                timers[figure] = PhaseTimer()
+                kwargs["timer"] = timers[figure]
         start = time.perf_counter()
         try:
             outcome.run = run_experiment(figure, **kwargs)
@@ -547,6 +564,8 @@ def run_suite(figures: Optional[List[str]] = None,
         finally:
             outcome.wall_s = time.perf_counter() - start
 
+    pool_before = suite_pool.stats()
+    transport_before = suite_pool.transport.as_dict()
     suite_start = time.perf_counter()
     threads = [Thread(target=_figure_body, args=(figure,),
                       name=f"suite-{figure}") for figure in requested]
@@ -555,6 +574,10 @@ def run_suite(figures: Optional[List[str]] = None,
             thread.start()
         for thread in threads:
             thread.join()
+        wall_s = time.perf_counter() - suite_start
+        pool_stats = _stats_between(pool_before, suite_pool.stats())
+        transport = {key: count - transport_before[key] for key, count
+                     in suite_pool.transport.as_dict().items()}
     except BaseException as exc:  # operator interrupt in the main thread
         suite_pool.interrupt(exc)
         for thread in threads:
@@ -570,9 +593,9 @@ def run_suite(figures: Optional[List[str]] = None,
 
     result = SuiteResult(
         outcomes=[outcomes[figure] for figure in requested],
-        pool_stats=suite_pool.stats(),
-        transport=stats.as_dict(),
-        wall_s=time.perf_counter() - suite_start,
+        pool_stats=pool_stats,
+        transport=transport,
+        wall_s=wall_s,
         timer=suite_timer)
 
     for outcome in result.outcomes:

@@ -21,8 +21,8 @@ dict for ordinary pickling:
 
 * the platform has no usable ``shared_memory`` (non-POSIX, ``/dev/shm``
   mounted ``noexec``/absent, import failure);
-* the chunk is small (``total nbytes < policy.min_bytes``) — pickling
-  small results is faster than a segment round-trip;
+* the chunk is small (``total nbytes <`` :data:`MIN_SHM_BYTES`) —
+  pickling small results is faster than a segment round-trip;
 * a value is not an ``ndarray``, or its dtype is ``object`` (pointer
   arrays cannot live in shared memory);
 * segment allocation fails (``OSError`` — e.g. ``/dev/shm`` full).
@@ -59,24 +59,7 @@ SHM_NAME_PREFIX = "repro_shm_"
 
 #: Below this payload size a pickle round-trip beats a segment
 #: create/attach/unlink cycle; measured crossover is tens of KiB.
-DEFAULT_MIN_BYTES = 1 << 16
-
-
-@dataclass(frozen=True)
-class TransportPolicy:
-    """Worker-side knobs of the shared-memory transport.
-
-    Picklable and tiny on purpose: the supervisor sends one per chunk
-    submission, and the worker decides per-chunk whether the payload
-    rides shared memory or falls back to pickling.
-    """
-
-    min_bytes: int = DEFAULT_MIN_BYTES
-    enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.min_bytes < 0:
-            raise ValueError("min_bytes must be non-negative")
+MIN_SHM_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,8 +86,9 @@ class TransportStats:
     """Thread-safe parent-side counters of how chunk bytes travelled.
 
     Lives on the supervisor side only (it holds a lock, so it must
-    never ride into a worker); the suite summary reads it to report
-    transport bytes per run.
+    never ride into a worker).  Each ``SuitePool`` owns one, and every
+    supervisor decoding that pool's chunks records into it; the suite
+    summary reports its change over a run.
     """
 
     def __init__(self) -> None:
@@ -195,10 +179,9 @@ def _segment_name() -> str:
     return f"{SHM_NAME_PREFIX}{os.getpid()}_{_SEQUENCE}_{token}"
 
 
-def _eligible(result: ChunkResult, policy: TransportPolicy
-              ) -> Optional[List[Tuple[str, np.ndarray]]]:
+def _eligible(result: ChunkResult) -> Optional[List[Tuple[str, np.ndarray]]]:
     """The arrays to pack, or ``None`` when the chunk must pickle."""
-    if not policy.enabled or not result:
+    if not result:
         return None
     arrays: List[Tuple[str, np.ndarray]] = []
     total = 0
@@ -207,22 +190,21 @@ def _eligible(result: ChunkResult, policy: TransportPolicy
             return None
         arrays.append((name, value))
         total += value.nbytes
-    if total < policy.min_bytes:
+    if total < MIN_SHM_BYTES:
         return None
     return arrays
 
 
-def encode_chunk(result: ChunkResult, policy: Optional[TransportPolicy]
-                 ) -> Union[ChunkResult, ShmChunk]:
+def encode_chunk(result: ChunkResult) -> Union[ChunkResult, ShmChunk]:
     """Pack a chunk result into shared memory (worker side).
 
     Returns the original dict whenever any fallback rule applies; the
     caller pickles whatever comes back, so the function can never fail
     a chunk — at worst it declines the optimisation.
     """
-    if policy is None or not shm_available():
+    if not shm_available():
         return result
-    arrays = _eligible(result, policy)
+    arrays = _eligible(result)
     if arrays is None:
         return result
 
@@ -341,10 +323,9 @@ def active_segments() -> List[str]:
 
 __all__ = [
     "ChunkResult",
-    "DEFAULT_MIN_BYTES",
+    "MIN_SHM_BYTES",
     "SHM_NAME_PREFIX",
     "ShmChunk",
-    "TransportPolicy",
     "TransportStats",
     "active_segments",
     "decode_chunk",

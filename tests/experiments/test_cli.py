@@ -1,5 +1,7 @@
 """CLI tests for ``python -m repro.experiments``."""
 
+import inspect
+
 import pytest
 
 from repro.experiments.__main__ import _kwargs_for, build_parser, main
@@ -36,6 +38,23 @@ class TestRegistry:
     def test_sort_key_handles_unknown_ids(self):
         assert figure_sort_key("fig2") < figure_sort_key("fig10")
         assert figure_sort_key("fig10") < figure_sort_key("weird")
+
+    @pytest.mark.parametrize("figure", ordered_figures())
+    def test_supervised_flag_matches_compute_signature(self, figure):
+        # The CLI passes seed/n_workers/chunk_size and the suite passes
+        # policy/timer to exactly the supervised figures.
+        experiment = REGISTRY[figure]
+        parameters = inspect.signature(experiment.compute).parameters
+        keywords = {name for name, parameter in parameters.items()
+                    if parameter.kind in (
+                        inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                        inspect.Parameter.KEYWORD_ONLY)}
+        supervised_kwargs = {"seed", "n_workers", "chunk_size", "policy",
+                             "timer"}
+        if experiment.supervised:
+            assert supervised_kwargs <= keywords
+        else:
+            assert not {"n_workers", "policy", "timer"} & keywords
 
 
 class TestMain:

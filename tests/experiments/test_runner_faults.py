@@ -26,6 +26,7 @@ from repro.experiments.runner import (
     ChunkExecutionError,
     ExecutionDegradedWarning,
     ExecutionPolicy,
+    Watchdog,
     run_chunked,
 )
 from repro.util.cache import ResultCache
@@ -146,7 +147,8 @@ class TestDegradation:
         assert "injected pool break" in warning.message.reason
 
     def test_worker_timeout_counts_as_pool_failure(self, tmp_path):
-        policy = ExecutionPolicy(worker_timeout_s=0.2, max_pool_rebuilds=0)
+        policy = ExecutionPolicy(
+            watchdog=Watchdog(heartbeat_interval_s=0.2), max_pool_rebuilds=0)
         ref = run_chunked("slow", _slow_once_chunk, _TinyConfig(), 11,
                           code_version=0, chunk_size=50,
                           kwargs={"marker_dir": str(tmp_path)})

@@ -8,6 +8,7 @@ chunk size, or interleaving.  Chunks are pure functions of
 figure's chunk layout, so only *where* chunks execute moves.
 """
 
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -19,11 +20,16 @@ from repro.experiments.suite import (
     SuitePool,
     run_suite,
 )
-from repro.experiments.transport import TransportPolicy, active_segments
+from repro.experiments.transport import active_segments
 
 
 def _square(x):
     return x * x
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 class TestLaneQueue:
@@ -102,6 +108,19 @@ class TestSuitePool:
             with pytest.raises(_Stop):
                 future.result(timeout=60)
 
+    def test_utilization_counts_worker_time_not_queue_time(self):
+        # Six 0.1 s tasks queued on one worker: each spends most of its
+        # life waiting, which must not count as busy.
+        with SuitePool(1) as pool:
+            handle = pool.open_round("lane")
+            futures = [handle.submit(_nap, 0.1) for _ in range(6)]
+            for future in futures:
+                future.result(timeout=60)
+            stats = pool.stats()
+        assert stats["busy_s"] == pytest.approx(0.6, abs=0.1)
+        assert stats["busy_s"] <= stats["wall_s"]
+        assert stats["utilization"] <= 1.0
+
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="n_workers"):
             SuitePool(0)
@@ -167,10 +186,10 @@ class TestRunSuiteGolden:
 
     def test_transport_exercised_and_no_leaked_segments(self):
         before = active_segments()
-        kwargs = {"fig6": {"n_samples": 400, "seed": 2,
-                           "chunk_size": 100}}
-        suite = run_suite(["fig6"], kwargs, n_workers=2,
-                          transport=TransportPolicy(min_bytes=1))
+        # 10k-draw chunks are ~180 KB, over MIN_SHM_BYTES.
+        kwargs = {"fig6": {"n_samples": 40_000, "seed": 2,
+                           "chunk_size": 10_000}}
+        suite = run_suite(["fig6"], kwargs, n_workers=2)
         total = suite.transport["shm_chunks"] \
             + suite.transport["pickled_chunks"]
         assert suite.transport["shm_chunks"] > 0
@@ -195,6 +214,22 @@ class TestRunSuiteGolden:
         with pytest.raises(TypeError):
             run_suite(["fig2", "fig10"],
                       {"fig2": {"no_such_kwarg": 1}}, n_workers=1)
+
+    def test_stats_cover_only_the_run_on_a_borrowed_pool(self):
+        kwargs = {"fig6": {"n_samples": 40_000, "seed": 2,
+                           "chunk_size": 10_000}}
+        with SuitePool(2) as pool:
+            first = run_suite(["fig6"], kwargs, pool=pool)
+            second = run_suite(["fig6"], kwargs, pool=pool)
+        for suite in (first, second):
+            assert suite.pool_stats["tasks_done"] == 12  # 3 ranges x 4
+            assert suite.pool_stats["lanes"] == \
+                {"two_receiver_scenarios": 12}
+            assert suite.pool_stats["wall_s"] == pytest.approx(
+                suite.wall_s, abs=0.05)
+            assert 0.0 < suite.pool_stats["utilization"] <= 1.0
+            assert suite.transport["shm_chunks"] == 12
+        assert first.transport == second.transport
 
     def test_borrowed_pool_left_open(self):
         with SuitePool(1) as pool:

@@ -56,14 +56,8 @@ class TestWatchdogPolicy:
 
     def test_effective_watchdog_prefers_explicit(self):
         wd = Watchdog(chunk_deadline_s=3.0)
-        policy = ExecutionPolicy(watchdog=wd, worker_timeout_s=9.0)
+        policy = ExecutionPolicy(watchdog=wd)
         assert policy.effective_watchdog() is wd
-
-    def test_worker_timeout_compat_maps_to_heartbeat(self):
-        policy = ExecutionPolicy(worker_timeout_s=0.5)
-        effective = policy.effective_watchdog()
-        assert effective.heartbeat_interval_s == 0.5
-        assert effective.chunk_deadline_s is None
 
     def test_unarmed_watchdog_is_none(self):
         assert ExecutionPolicy(watchdog=Watchdog()).effective_watchdog() \
