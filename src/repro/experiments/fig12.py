@@ -113,7 +113,7 @@ def runtime_scaling(sizes: Sequence[int] = (4, 8, 16, 32, 64),
     :class:`~repro.util.timing.PhaseTimer` threaded through
     :meth:`~repro.scheduling.scheduler.SicScheduler.schedule` —
     ``cost_build`` (vectorised t_ij matrix), ``matching`` (blossom) and
-    ``assembly`` (re-costing the chosen slots), so runtime regressions
+    ``assembly`` (labelling the chosen slots), so runtime regressions
     point at the phase that caused them.
     """
     rng = make_rng(seed)

@@ -28,6 +28,7 @@ from repro.techniques.pairing import (
     PairAirtime,
     PairMode,
     TechniqueSet,
+    _pair_airtime_modes,
     pair_airtime,
     pair_airtime_batch,
     solo_airtime,
@@ -325,6 +326,10 @@ class SicScheduler:
             )
 
         with maybe_phase(timer, "cost_build"):
+            # One batched solo costing serves the dummy edges and the
+            # serial baseline (scalar, it cost one call per client).
+            if pre is None:
+                pre = self.precompute_costs(clients)
             costs, dummy = self.build_cost_graph(clients, pre)
         n_vertices = len(clients) + (1 if dummy is not None else 0)
         with maybe_phase(timer, "matching"):
@@ -347,7 +352,7 @@ class SicScheduler:
         division ``serial / total`` sees the same floats.  Trace
         evaluations (Fig. 13) call this per snapshot — they only plot
         gain CDFs, so building :class:`ScheduledSlot` tuples and
-        re-costing the matched pairs for their modes is pure overhead.
+        labelling the matched pairs with their modes is pure overhead.
 
         ``cost_graph`` optionally supplies the ``(costs, dummy)``
         matching instance (e.g. sliced out of a batched cost
@@ -362,6 +367,8 @@ class SicScheduler:
         pre = self._check_precomputed(clients, precomputed)
         if len(clients) == 1:
             return 1.0  # solo / solo
+        if pre is None:
+            pre = self.precompute_costs(clients)
         costs, dummy = cost_graph if cost_graph is not None \
             else self.build_cost_graph(clients, pre)
         n_vertices = len(clients) + (1 if dummy is not None else 0)
@@ -380,16 +387,12 @@ class SicScheduler:
         total = 0.0
         for key in pair_keys:
             total += costs[key]
-        if solo:
-            solos = pre.solo_airtime_s.tolist() if pre is not None else None
-            for i in solo:
-                total += solos[i] if solos is not None \
-                    else self.solo_cost(clients[i])
+        solos = pre.solo_airtime_s.tolist()
+        for i in solo:
+            total += solos[i]
         if total <= 0.0:
             return 1.0
-        serial = pre.serial_time_s if pre is not None \
-            else self.serial_time(clients)
-        return serial / total
+        return pre.serial_time_s / total
 
     def schedule_scalar(self, clients: Sequence[UploadClient]) -> Schedule:
         """The pre-fast-path scheduling pipeline, end to end: scalar cost
@@ -419,15 +422,30 @@ class SicScheduler:
                             solo: Sequence[int] = (),
                             precomputed: Optional[BacklogCosts] = None,
                             ) -> Schedule:
-        """Cost out an explicit pairing (used by baselines and tests)."""
+        """Cost out an explicit pairing (used by baselines and tests).
+
+        Every pair's airtime and mode come from one batched decision,
+        element-identical to :meth:`pair_cost` on that pair.
+        """
         pre = self._check_precomputed(clients, precomputed)
         slots: List[ScheduledSlot] = []
         seen: List[int] = []
-        for (i, j) in pairs:
-            cost = self.pair_cost(clients[i], clients[j])
-            slots.append(ScheduledSlot((clients[i].name, clients[j].name),
-                                       cost.airtime_s, cost.mode))
-            seen.extend((i, j))
+        pairs = list(pairs)
+        if pairs:
+            rss = pre.rss_w if pre is not None else np.fromiter(
+                (c.rss_w for c in clients), dtype=float, count=len(clients))
+            first = [i for i, _ in pairs]
+            second = [j for _, j in pairs]
+            airtimes, codes = _pair_airtime_modes(
+                self.channel, self.packet_bits, rss[first], rss[second],
+                self.techniques, self.sic_enabled)
+            modes = tuple(PairMode)
+            for (i, j), airtime_s, code in zip(pairs, airtimes.tolist(),
+                                                codes.tolist()):
+                slots.append(ScheduledSlot(
+                    (clients[i].name, clients[j].name), airtime_s,
+                    modes[code]))
+                seen.extend((i, j))
         for i in solo:
             duration = float(pre.solo_airtime_s[i]) if pre is not None \
                 else self.solo_cost(clients[i])

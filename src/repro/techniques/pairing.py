@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class PairMode(enum.Enum):
     SIC = "sic"
     SIC_POWER_CONTROL = "sic+power-control"
     SIC_MULTIRATE = "sic+multirate"
+
+
+#: Batched mode codes: positions in ``PairMode``'s declaration order.
+_SERIAL, _SIC, _SIC_POWER_CONTROL, _SIC_MULTIRATE = range(4)
 
 
 @dataclass(frozen=True)
@@ -111,20 +116,18 @@ def pair_airtime(channel: Channel, packet_bits: float,
                        serial_airtime_s=serial, sic_airtime_s=sic)
 
 
-def pair_airtime_batch(channel: Channel, packet_bits: float,
-                       rss_a_w: np.ndarray, rss_b_w: np.ndarray,
-                       techniques: TechniqueSet = TechniqueSet.NONE,
-                       sic_enabled: bool = True) -> np.ndarray:
-    """Vectorised :func:`pair_airtime` (airtimes only).
+def _pair_airtime_modes(channel: Channel, packet_bits: float,
+                        rss_a_w: np.ndarray, rss_b_w: np.ndarray,
+                        techniques: TechniqueSet,
+                        sic_enabled: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The batched :func:`pair_airtime` decision: airtimes and modes.
 
-    Element ``k`` equals
-    ``pair_airtime(channel, packet_bits, a[k], b[k], ...).airtime_s``
-    bit for bit: every branch of the scalar decision (serial floor,
-    plain SIC, power control, multirate) is an elementwise minimum over
-    the same IEEE operations, so no rounding difference can creep in.
-    The per-pair mode/diagnostics are dropped — the scheduler's cost
-    graph only needs the ``t_ij`` values, and the few chosen pairs are
-    re-costed through the scalar path when the schedule is assembled.
+    Returns ``(airtime_s, mode_code)``.  Element ``k`` of ``airtime_s``
+    equals ``pair_airtime(channel, packet_bits, a[k], b[k], ...)
+    .airtime_s`` bit for bit, and ``tuple(PairMode)[mode_code[k]]`` is
+    its ``.mode``: the elementwise comparisons are the scalar ones in
+    the same order — strict ``<`` for power control, then for
+    multirate, then ``serial <= best`` — over the same IEEE values.
     """
     check_positive("packet_bits", packet_bits)
     rss_a = np.asarray(rss_a_w, dtype=float)
@@ -136,17 +139,45 @@ def pair_airtime_batch(channel: Channel, packet_bits: float,
         z_serial_same_receiver(channel, packet_bits, rss_a, rss_b),
         dtype=float)
     if not sic_enabled:
-        return serial
+        return serial, np.full(serial.shape, _SERIAL, dtype=np.int8)
 
     best = np.asarray(
         z_sic_same_receiver(channel, packet_bits, rss_a, rss_b), dtype=float)
+    mode = np.full(best.shape, _SIC, dtype=np.int8)
     if TechniqueSet.POWER_CONTROL in techniques:
-        best = np.minimum(best, power_controlled_pair_airtime_batch(
-            channel, packet_bits, rss_a, rss_b))
+        controlled = power_controlled_pair_airtime_batch(
+            channel, packet_bits, rss_a, rss_b)
+        better = controlled < best
+        best = np.where(better, controlled, best)
+        mode[better] = _SIC_POWER_CONTROL
     if TechniqueSet.MULTIRATE in techniques:
-        best = np.minimum(best, multirate_pair_airtime_batch(
-            channel, packet_bits, rss_a, rss_b))
-    return np.minimum(serial, best)
+        multirate = multirate_pair_airtime_batch(
+            channel, packet_bits, rss_a, rss_b)
+        better = multirate < best
+        best = np.where(better, multirate, best)
+        mode[better] = _SIC_MULTIRATE
+    serial_wins = serial <= best
+    return (np.where(serial_wins, serial, best),
+            np.where(serial_wins, _SERIAL, mode))
+
+
+def pair_airtime_batch(channel: Channel, packet_bits: float,
+                       rss_a_w: np.ndarray, rss_b_w: np.ndarray,
+                       techniques: TechniqueSet = TechniqueSet.NONE,
+                       sic_enabled: bool = True) -> np.ndarray:
+    """Vectorised :func:`pair_airtime` (airtimes only).
+
+    Element ``k`` equals
+    ``pair_airtime(channel, packet_bits, a[k], b[k], ...).airtime_s``
+    bit for bit: every branch of the scalar decision (serial floor,
+    plain SIC, power control, multirate) is the same elementwise
+    comparison over the same IEEE operations, so no rounding difference
+    can creep in.  The scheduler's cost graph only needs the ``t_ij``
+    values; schedule assembly takes the modes of the chosen pairs from
+    the same decision.
+    """
+    return _pair_airtime_modes(channel, packet_bits, rss_a_w, rss_b_w,
+                               techniques, sic_enabled)[0]
 
 
 def solo_airtime(channel: Channel, packet_bits: float, rss_w: float) -> float:

@@ -271,8 +271,10 @@ class TestFig12:
             fig12.compare_policies(**kwargs)
 
     def test_scalar_pair_costs_only_for_returned_pairs(self, monkeypatch):
-        # Baselines decide on the batched t_ij matrix; the scalar
-        # pair_airtime runs only to label the pairs a policy returns.
+        # Baselines decide on the batched t_ij matrix, and assembly
+        # labels the pairs a policy returns from the same batched
+        # decision: the scalar pair_airtime never runs, yet every
+        # returned pair carries the scalar airtime and mode.
         calls = []
         real_pair_airtime = scheduler_module.pair_airtime
 
@@ -285,7 +287,8 @@ class TestFig12:
         def recording(policy):
             def wrapper(*args, **kwargs):
                 schedule = policy(*args, **kwargs)
-                returned.append(schedule)
+                # (scheduler, clients) lead every policy's arguments.
+                returned.append((args[0], args[1], schedule))
                 return schedule
             return wrapper
 
@@ -298,9 +301,21 @@ class TestFig12:
                             recording(SicScheduler.schedule))
         fig12.compare_policies(8, n_trials=5)
         assert len(returned) == 5 * 5  # five policies, five trials
-        n_pairs = sum(slot.is_pair for schedule in returned
-                      for slot in schedule.slots)
-        assert 0 < len(calls) <= n_pairs
+        assert calls == []
+        n_pairs = 0
+        for scheduler, clients, schedule in returned:
+            by_name = {c.name: c for c in clients}
+            for slot in schedule.slots:
+                if slot.is_pair:
+                    n_pairs += 1
+                    a, b = (by_name[name] for name in slot.clients)
+                    cost = real_pair_airtime(
+                        scheduler.channel, scheduler.packet_bits,
+                        a.rss_w, b.rss_w, techniques=scheduler.techniques,
+                        sic_enabled=scheduler.sic_enabled)
+                    assert (slot.duration_s, slot.mode) == \
+                        (cost.airtime_s, cost.mode)
+        assert n_pairs > 0
 
 
 class TestFig13:

@@ -8,6 +8,7 @@ optimality certificate for the perfect-matching wrapper.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -285,6 +286,7 @@ class TestSmallCompleteShortcut:
     def test_shortcut_agrees_with_scalar_blossom(self):
         from repro.scheduling.matching import (
             _SMALL_PERFECT_MATCHINGS,
+            _quantise,
             _small_complete_matching,
         )
         rng = random.Random(17)
@@ -293,13 +295,14 @@ class TestSmallCompleteShortcut:
             costs = {(i, j): rng.uniform(1e-5, 5e-4)
                      for i, j in itertools.combinations(range(n), 2)}
             small = _small_complete_matching(
-                costs, n, _SMALL_PERFECT_MATCHINGS[n])
+                _quantise(costs, n), _SMALL_PERFECT_MATCHINGS[n])
             if small is not None:
                 assert small == min_weight_perfect_matching_scalar(costs, n)
 
     def test_tie_defers_to_blossom(self):
         from repro.scheduling.matching import (
             _SMALL_PERFECT_MATCHINGS,
+            _quantise,
             _small_complete_matching,
         )
         # All-equal costs: every matching totals the same, so the
@@ -307,7 +310,7 @@ class TestSmallCompleteShortcut:
         costs = {(i, j): 2.5e-4
                  for i, j in itertools.combinations(range(4), 2)}
         assert _small_complete_matching(
-            costs, 4, _SMALL_PERFECT_MATCHINGS[4]) is None
+            _quantise(costs, 4), _SMALL_PERFECT_MATCHINGS[4]) is None
         assert min_weight_perfect_matching(costs, 4) == \
             min_weight_perfect_matching_scalar(costs, 4)
 
@@ -329,16 +332,21 @@ class TestSmallCompleteShortcut:
             min_weight_perfect_matching(costs, 4)
 
     def test_validation_matches_blossom_path(self):
-        from repro.scheduling.matching import (
-            _SMALL_PERFECT_MATCHINGS,
-            _small_complete_matching,
-        )
-        bad_pair = {(1, 0): 1.0}
-        with pytest.raises(ValueError, match="bad pair"):
-            _small_complete_matching(bad_pair, 2, _SMALL_PERFECT_MATCHINGS[2])
-        negative = {(0, 1): -1.0}
-        with pytest.raises(ValueError, match="non-negative"):
-            _small_complete_matching(negative, 2, _SMALL_PERFECT_MATCHINGS[2])
+        # One validation at the boundary serves both paths: a shortcut
+        # size (n=2) and a blossom size (n=8) reject the same inputs
+        # with the same messages.
+        for n in (2, 8):
+            complete = {(i, j): 1.0
+                        for i, j in itertools.combinations(range(n), 2)}
+            bad_pair = dict(complete)
+            del bad_pair[(0, 1)]
+            bad_pair[(1, 0)] = 1.0
+            with pytest.raises(ValueError, match=r"bad pair \(1, 0\)"):
+                min_weight_perfect_matching(bad_pair, n)
+            negative = dict(complete)
+            negative[(0, 1)] = -1.0
+            with pytest.raises(ValueError, match="non-negative"):
+                min_weight_perfect_matching(negative, n)
 
     def test_small_sizes_end_to_end_match_scalar(self):
         rng = random.Random(23)
@@ -455,3 +463,115 @@ class TestScalarGoldenEquivalence:
             flipped = {(j, i) for (i, j) in matching}
             assert matching_cost(flipped, costs) == \
                 matching_cost_scalar(flipped, costs) == ref
+
+
+class TestNonFiniteCosts:
+    """NaN and infinite costs are rejected at the boundary, naming the
+    pair, on both the enumeration sizes and the blossom sizes."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejected_naming_the_pair(self, n, bad):
+        costs = {(i, j): 1.0 + i + j
+                 for i, j in itertools.combinations(range(n), 2)}
+        costs[(1, 2)] = bad
+        with pytest.raises(ValueError, match=r"pair \(1, 2\).*finite"):
+            min_weight_perfect_matching(costs, n)
+
+
+def small_integer_edges(rng, vertices, top):
+    """A complete graph with weights in ``0..top``: ties everywhere."""
+    return [(i, j, rng.randint(0, top))
+            for i, j in itertools.combinations(vertices, 2)]
+
+
+class TestTieHeavyScalarEquivalence:
+    """Mate-for-mate agreement with the frozen reference on the inputs
+    whose outputs hinge on tie-breaks.
+
+    Continuous random weights almost never tie, but quantised airtimes
+    do: when SIC never wins, every pair costs the sum of its solos and
+    all perfect matchings tie, which is what decides fig13's 4- and
+    6-client snapshots.  Only a kernel that scans neighbours in the
+    same order and breaks every least-slack tie the same way agrees
+    here.
+    """
+
+    @pytest.mark.parametrize("maxcardinality", [False, True])
+    def test_complete_graphs_small_integer_weights(self, maxcardinality):
+        rng = random.Random(1402 + maxcardinality)
+        for n in range(2, 25):
+            for _ in range(8 if n <= 12 else 2):
+                edges = small_integer_edges(rng, range(n),
+                                            rng.choice([1, 2, 3, 5]))
+                assert max_weight_matching(edges, maxcardinality) == \
+                    max_weight_matching_scalar(edges, maxcardinality), \
+                    (n, edges)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 10), st.integers(1, 3), st.randoms(),
+           st.booleans())
+    def test_hypothesis_complete_graphs(self, n, top, rnd, maxcardinality):
+        edges = small_integer_edges(rnd, range(n), top)
+        assert max_weight_matching(edges, maxcardinality, debug=True) == \
+            max_weight_matching_scalar(edges, maxcardinality)
+
+    def test_perfect_matching_on_tied_costs(self):
+        rng = random.Random(13)
+        for n in range(2, 25, 2):
+            for _ in range(4):
+                costs = {(i, j): rng.randint(1, 4) * 1e-4
+                         for i, j in itertools.combinations(range(n), 2)}
+                assert min_weight_perfect_matching(costs, n) == \
+                    min_weight_perfect_matching_scalar(costs, n)
+
+    def test_dummy_vertex_shape(self):
+        # Odd backlogs: a complete graph over the clients, then the
+        # dummy vertex joined to each client, listed last.
+        rng = random.Random(17)
+        for m in range(1, 24, 2):
+            for _ in range(4):
+                edges = small_integer_edges(rng, range(m), 3)
+                edges += [(i, m, rng.randint(0, 3)) for i in range(m)]
+                assert max_weight_matching(edges, True) == \
+                    max_weight_matching_scalar(edges, True)
+                costs = {(i, j): (w + 1) * 1e-4 for i, j, w in edges}
+                assert min_weight_perfect_matching(costs, m + 1) == \
+                    min_weight_perfect_matching_scalar(costs, m + 1)
+
+    def test_fig13_backlogs_without_techniques(self):
+        from repro.experiments import fig13
+        from repro.phy.noise import thermal_noise_watts
+        from repro.phy.shannon import Channel
+        from repro.scheduling.matching import (
+            _SMALL_PERFECT_MATCHINGS,
+            _quantise,
+            _small_complete_matching,
+        )
+        from repro.scheduling.scheduler import SicScheduler
+        from repro.techniques.pairing import TechniqueSet
+        from repro.traces.synthetic import (
+            UploadTraceConfig,
+            UploadTraceGenerator,
+        )
+
+        bandwidth = fig13.DEFAULT_BANDWIDTH_HZ
+        scheduler = SicScheduler(
+            channel=Channel(bandwidth_hz=bandwidth,
+                            noise_w=thermal_noise_watts(bandwidth)),
+            techniques=TechniqueSet.NONE)
+        trace = UploadTraceGenerator(
+            UploadTraceConfig(duration_days=2.0)).generate(2010)
+        ties = 0
+        for snapshot in trace.busy_snapshots(min_clients=2):
+            clients = fig13.snapshot_clients(snapshot)
+            costs, dummy = scheduler.build_cost_graph(clients)
+            n = len(clients) + (dummy is not None)
+            candidates = _SMALL_PERFECT_MATCHINGS.get(n)
+            if candidates is not None and _small_complete_matching(
+                    _quantise(costs, n), candidates) is None:
+                ties += 1
+            assert min_weight_perfect_matching(costs, n) == \
+                min_weight_perfect_matching_scalar(costs, n)
+        assert ties >= 20  # the blossom, not the shortcut, decides these

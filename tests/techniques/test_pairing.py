@@ -11,6 +11,7 @@ import numpy as np
 from repro.techniques.pairing import (
     PairMode,
     TechniqueSet,
+    _pair_airtime_modes,
     pair_airtime,
     pair_airtime_batch,
     solo_airtime,
@@ -149,6 +150,27 @@ class TestBatchEquivalence:
                                sic_enabled=sic_enabled).airtime_s
                   for a, b in zip(rss_a, rss_b)]
         assert batch.tolist() == scalar  # exact, not approx
+
+    @pytest.mark.parametrize("techniques", ALL_TECHNIQUE_SETS,
+                             ids=lambda t: str(t))
+    @pytest.mark.parametrize("sic_enabled", [True, False])
+    def test_pair_batch_modes_match_scalar(self, channel, rng, techniques,
+                                           sic_enabled):
+        # Schedule assembly labels slots from the batched decision, so
+        # its modes must be the scalar ones, not merely its airtimes.
+        # Repeated and swapped RSS values exercise the tie branches.
+        rss_a = np.concatenate([random_rss(rng, 200), [1e-9, 3e-10, 1e-9]])
+        rss_b = np.concatenate([random_rss(rng, 200), [1e-9, 1e-9, 3e-10]])
+        airtimes, codes = _pair_airtime_modes(
+            channel, L, rss_a, rss_b, techniques, sic_enabled)
+        scalar = [pair_airtime(channel, L, a, b, techniques=techniques,
+                               sic_enabled=sic_enabled)
+                  for a, b in zip(rss_a, rss_b)]
+        assert airtimes.tolist() == [c.airtime_s for c in scalar]
+        assert [tuple(PairMode)[code] for code in codes.tolist()] == \
+            [c.mode for c in scalar]
+        if sic_enabled:
+            assert len(set(codes.tolist())) >= 2  # more than one branch
 
     def test_solo_batch_bit_identical(self, channel, rng):
         rss = random_rss(rng, 200)
